@@ -2,9 +2,9 @@
 
 PR 1's engine analyses one module at a time, which is enough for the
 syntactic rule families (NUM/PAR/GPU/ROB/SRV/OBS) but not for the
-contracts the compiled-hot-path and distributed-selection work depend
-on: *dtype flow across call boundaries* ("does ``ensure_bandwidths``
-hand me float64?") needs to know what a function defined in another
+contracts the fast-grid and distributed-selection work depend on:
+*dtype flow across call boundaries* ("does ``ensure_bandwidths`` hand
+me float64?") needs to know what a function defined in another
 module returns.  This module builds that view:
 
 * a **symbol table** mapping qualified names —

@@ -21,17 +21,7 @@ corresponds to one of the paper's execution substrates:
                  over JSON-over-HTTP (registered lazily by
                  :mod:`repro.distributed.backend`); byte-identical
                  to ``blocked`` and degrades to it losslessly
-``compiled``     the fast grid with the numba-jitted per-block
-                 kernel (registered lazily by
-                 :mod:`repro.compiled.backend`); float64 curves
-                 byte-identical to ``numpy``, silent numpy fallback
-                 when the JIT is unavailable
-``blocked-``     the budget-planned out-of-core sweep driving the
-``compiled``     jitted kernel; byte-identical to ``blocked``
 ===============  ==================================================
-
-The ``blocked``/``blocked-shm`` backends also accept ``engine="compiled"``
-to run their existing partition/fold machinery over the jitted kernel.
 
 Backends automatically fall back to the dense O(k·n²) evaluation for
 kernels without a polynomial form (Cosine, Gaussian), matching paper
@@ -86,24 +76,12 @@ def get_backend(name: str) -> GridBackend:
     if name == "distributed" and name not in BACKEND_REGISTRY:
         # The fleet coordinator registers itself at import time.
         import repro.distributed.backend  # noqa: F401
-    if name in ("compiled", "blocked-compiled") and name not in BACKEND_REGISTRY:
-        # The compiled engine registers itself at import time.
-        import repro.compiled.backend  # noqa: F401
 
     try:
         return BACKEND_REGISTRY[name]
     except KeyError:
         known = ", ".join(
-            sorted(
-                set(BACKEND_REGISTRY)
-                | {
-                    "gpusim",
-                    "gpusim-tiled",
-                    "distributed",
-                    "compiled",
-                    "blocked-compiled",
-                }
-            )
+            sorted(set(BACKEND_REGISTRY) | {"gpusim", "gpusim-tiled", "distributed"})
         )
         raise BackendError(f"unknown backend {name!r}; known: {known}") from None
 
@@ -217,7 +195,6 @@ def _blocked_backend(
     memory_budget: int | float | str | None = None,
     block_rows: int | None = None,
     dtype: str = "float64",
-    engine: str = "numpy",
     **_: object,
 ) -> np.ndarray:
     dense = _wants_dense(kernel)
@@ -232,7 +209,6 @@ def _blocked_backend(
         return cv_scores_blocked(
             x, y, bandwidths, get_kernel(kernel).name,
             memory_budget=memory_budget, block_rows=block_rows, dtype=dtype,
-            engine=engine,
         )
 
 
@@ -246,7 +222,6 @@ def _blocked_shm_backend(
     block_rows: int | None = None,
     workers: int | None = None,
     dtype: str = "float64",
-    engine: str = "numpy",
     **_: object,
 ) -> np.ndarray:
     dense = _wants_dense(kernel)
@@ -259,7 +234,7 @@ def _blocked_shm_backend(
         return cv_scores_blocked_shm(
             x, y, bandwidths, get_kernel(kernel).name,
             memory_budget=memory_budget, block_rows=block_rows,
-            workers=workers, dtype=dtype, engine=engine,
+            workers=workers, dtype=dtype,
         )
 
 

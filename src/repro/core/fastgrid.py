@@ -30,9 +30,16 @@ Two interchangeable implementations live here:
   the property tests assert agreement with the dense path for every
   polynomial kernel — but it replaces the per-row python loop with
   whole-chunk array ops (the "vectorise the inner loop" guide idiom).
+
+That binned window sum, :func:`window_sums`, takes caller-supplied
+per-pair weights, so the multivariate sweep
+(:mod:`repro.multivariate.fastgrid`) and KDE LSCV (:mod:`repro.kde.lscv`)
+run on it too and keep only their own leave-one-out corrections.
 """
 
 from __future__ import annotations
+
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -44,29 +51,17 @@ from repro.utils.chunking import chunk_slices, suggest_chunk_rows
 from repro.utils.numeric import fold_rows, int_power
 from repro.utils.validation import check_paired_samples, ensure_bandwidths
 
+if TYPE_CHECKING:
+    from repro.kde.convolution import ConvolutionKernel
+
 __all__ = [
-    "FASTGRID_ENGINES",
     "cv_scores_fastgrid",
     "cv_scores_fastgrid_python",
     "fastgrid_block_sums",
     "fastgrid_row_contributions",
     "require_fast_grid_kernel",
+    "window_sums",
 ]
-
-#: Interchangeable per-block window-sum implementations.  ``numpy`` is the
-#: vectorised reference; ``compiled`` routes through
-#: :mod:`repro.compiled` (numba-jitted scalar loops, byte-identical in
-#: float64, silently numpy-backed when the JIT is unavailable).
-FASTGRID_ENGINES: tuple[str, ...] = ("numpy", "compiled")
-
-
-def _resolve_engine(engine: str) -> str:
-    if engine not in FASTGRID_ENGINES:
-        raise ValidationError(
-            f"unknown fast-grid engine {engine!r}; "
-            f"known: {', '.join(FASTGRID_ENGINES)}"
-        )
-    return engine
 
 
 def require_fast_grid_kernel(kernel: str | Kernel) -> Kernel:
@@ -151,34 +146,45 @@ def cv_scores_fastgrid_python(
     return sq_sums / n
 
 
-def _window_sums_for_block(
-    x_block: np.ndarray,
+def window_sums(
+    x_rows: np.ndarray,
     x: np.ndarray,
-    y: np.ndarray,
+    weights: Sequence[np.ndarray | None],
     grid: np.ndarray,
-    kern: Kernel,
-    dtype: np.dtype,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-power window sums for a block of evaluation points.
+    kern: Kernel | ConvolutionKernel,
+    dtype: str | np.dtype = "float64",
+) -> list[np.ndarray]:
+    """Binned window sums of per-pair weights at every grid bandwidth.
 
-    Returns ``(num, den)`` of shape ``(m, k)``: the kernel-weighted
-    numerator and denominator of the (not yet leave-one-out-corrected)
-    Nadaraya–Watson estimator at every grid bandwidth.
+    For each evaluation point ``x_rows[i]``, each weight ``w`` in
+    ``weights`` and each grid bandwidth ``h_j``, returns
 
-    Implementation: each pairwise distance is assigned, via one
-    ``searchsorted`` against the sorted grid, the index of the *first*
-    bandwidth whose window contains it; per-power weighted histograms over
-    those indices, cumulated along the grid axis, are exactly the sorted
-    sweep's running sums.
+        Σ_{l: |x_rows[i] − x_l| <= R·h_j} w_il · Σ_p c_p · d_il^p / h_j^p
+
+    as one ``(m, k)`` float64 array per weight, where ``c_p``, ``p`` and
+    ``R`` are ``kern``'s polynomial terms and support radius.  A weight is
+    an ``(m, n)`` array (``np.broadcast_to`` a per-column vector) or
+    ``None`` for the unit weight.  The pair ``(i, i)`` is not excluded:
+    leave-one-out corrections are the caller's.
+
+    This is the one implementation of the paper's sorted sweep (§III) on
+    the vectorised paths: the regression sweep passes ``(None, y)``, the
+    multivariate sweep ``(W, W·y)`` and KDE LSCV ``(None,)``.  Each
+    pairwise distance is assigned, via one ``searchsorted`` against the
+    sorted grid, the index of the *first* bandwidth whose window contains
+    it; per-power weighted histograms over those indices, cumulated along
+    the grid axis, are exactly the sorted sweep's running sums.
+    ``dtype`` is the precision of the distances (``float32`` mirrors the
+    paper's GPU arithmetic); sums accumulate in float64.
     """
-    m = x_block.shape[0]
+    m = x_rows.shape[0]
     n = x.shape[0]
     k = grid.shape[0]
     tracer = current_tracer()
     # "sort" phase: binning each distance against the sorted grid is the
     # vectorised counterpart of the paper's per-observation sort.
     with tracer.span("sort", rows=m):
-        dist = np.abs(x_block[:, None] - x[None, :]).astype(dtype, copy=False)
+        dist = np.abs(x_rows[:, None] - x[None, :]).astype(dtype, copy=False)
         # First grid index whose window d <= radius*h contains this
         # distance; k means "outside every window".
         first_j = np.searchsorted(
@@ -187,39 +193,27 @@ def _window_sums_for_block(
         row_offsets = np.repeat(np.arange(m, dtype=np.int64) * (k + 1), n)
         flat_bins = row_offsets + np.minimum(first_j, k)
 
-    num = np.zeros((m, k), dtype=np.float64)
-    den = np.zeros((m, k), dtype=np.float64)
+    sums = [np.zeros((m, k), dtype=np.float64) for _ in weights]
     h_cols = grid[None, :]
     # "sweep" phase: per-power weighted histograms + cumsum along the grid
     # axis are exactly the sorted sweep's running sums.
     with tracer.span("sweep", rows=m, terms=len(kern.poly_terms)):
         for term in kern.poly_terms:
-            if term.power == 0:
-                d_pow = None  # weight 1 per element
-                yw = np.broadcast_to(y, (m, n)).ravel()
-            else:
-                # int_power, not dist**p: numpy's SIMD pow differs from
-                # scalar libm by an ulp, so the exactly-rounded multiply
-                # chain is the only form the compiled engine can mirror
-                # byte-for-byte (see utils.numeric.int_power).
-                d_pow = int_power(dist, term.power)
-                yw = (y[None, :] * d_pow).ravel()
-            hist_d = np.bincount(
-                flat_bins,
-                weights=None if d_pow is None else d_pow.ravel(),
-                minlength=m * (k + 1),
-            ).reshape(m, k + 1)[:, :k]
-            hist_yd = np.bincount(
-                flat_bins, weights=yw, minlength=m * (k + 1)
-            ).reshape(m, k + 1)[:, :k]
-            s_d = np.cumsum(hist_d, axis=1)
-            s_yd = np.cumsum(hist_yd, axis=1)
+            # int_power, not dist**p: see utils.numeric.int_power.
+            d_pow = int_power(dist, term.power) if term.power else None
             scale = term.coefficient / (
                 int_power(h_cols, term.power) if term.power else 1.0
             )
-            num += scale * s_yd
-            den += scale * s_d
-    return num, den
+            for weight, total in zip(weights, sums):
+                if d_pow is not None:
+                    weight = d_pow if weight is None else weight * d_pow
+                hist = np.bincount(
+                    flat_bins,
+                    weights=None if weight is None else weight.ravel(),
+                    minlength=m * (k + 1),
+                ).reshape(m, k + 1)[:, :k]
+                total += scale * np.cumsum(hist, axis=1)
+    return sums
 
 
 def fastgrid_row_contributions(
@@ -230,7 +224,6 @@ def fastgrid_row_contributions(
     start: int,
     stop: int,
     dtype: str = "float64",
-    engine: str = "numpy",
 ) -> np.ndarray:
     """Per-observation squared-residual k-vectors for rows ``[start, stop)``.
 
@@ -248,14 +241,8 @@ def fastgrid_row_contributions(
     This is the unit of work for the out-of-core blockwise engine: the
     block's working set is O(B·n + B·k) while the full sweep never
     materialises anything n×n.
-
-    ``engine`` selects the window-sum implementation (see
-    :data:`FASTGRID_ENGINES`); the leave-one-out correction and residual
-    reduction below are shared, so ``engine="compiled"`` changes only how
-    ``(num, den)`` are produced — and not a single float64 bit of them.
     """
     kern = require_fast_grid_kernel(kernel_name)
-    engine = _resolve_engine(engine)
     grid = np.asarray(bandwidths, dtype=float)
     np_dtype = np.dtype(dtype)
     x = np.asarray(x)
@@ -268,14 +255,10 @@ def fastgrid_row_contributions(
     y_block = y[start:stop]
     tracer = current_tracer()
     with tracer.span("block", start=start, stop=stop):
-        if engine == "compiled":
-            from repro.compiled.api import window_sums as _compiled_sums
-
-            num, den = _compiled_sums(x_block, x, y, grid, kern, np_dtype)
-        else:
-            num, den = _window_sums_for_block(
-                x_block, x, y, grid, kern, np_dtype
-            )
+        # The kernel-weighted denominator and numerator of the (not yet
+        # leave-one-out-corrected) Nadaraya–Watson estimator.
+        y_cols = np.broadcast_to(y, (stop - start, y.shape[0]))
+        den, num = window_sums(x_block, x, (None, y_cols), grid, kern, np_dtype)
 
         # Leave-one-out correction: observation i appears in its own window
         # at every bandwidth with distance 0, touching only the power-0 term.
@@ -306,7 +289,6 @@ def fastgrid_block_sums(
     start: int,
     stop: int,
     dtype: str = "float64",
-    engine: str = "numpy",
 ) -> np.ndarray:
     """Squared-residual sums over observations ``[start, stop)``.
 
@@ -323,7 +305,7 @@ def fastgrid_block_sums(
     """
     return fold_rows(
         fastgrid_row_contributions(
-            x, y, bandwidths, kernel_name, start, stop, dtype, engine
+            x, y, bandwidths, kernel_name, start, stop, dtype
         )
     )
 
@@ -336,7 +318,6 @@ def cv_scores_fastgrid(
     *,
     chunk_rows: int | None = None,
     dtype: str = "float64",
-    engine: str = "numpy",
 ) -> np.ndarray:
     """Vectorised fast grid search over a whole bandwidth grid.
 
@@ -355,7 +336,6 @@ def cv_scores_fastgrid(
     x, y = check_paired_samples(x, y)
     grid = ensure_bandwidth_grid(bandwidths)
     kern = require_fast_grid_kernel(kernel)
-    engine = _resolve_engine(engine)
     n = x.shape[0]
     rows = chunk_rows or suggest_chunk_rows(
         n, working_arrays=4 + len(kern.poly_terms)
@@ -364,12 +344,12 @@ def cv_scores_fastgrid(
     sq_sums = np.zeros(grid.shape[0], dtype=np.float64)
     with tracer.span(
         "fastgrid", n=n, k=grid.shape[0], kernel=kern.name, dtype=dtype,
-        chunk_rows=rows, engine=engine,
+        chunk_rows=rows,
     ):
         if not tracer.enabled:
             for sl in chunk_slices(n, rows):
                 contrib = fastgrid_row_contributions(
-                    x, y, grid, kern.name, sl.start, sl.stop, dtype, engine
+                    x, y, grid, kern.name, sl.start, sl.stop, dtype
                 )
                 fold_rows(contrib, sq_sums)
         else:
@@ -380,7 +360,7 @@ def cv_scores_fastgrid(
             comp = np.zeros_like(sq_sums)
             for sl in chunk_slices(n, rows):
                 contrib = fastgrid_row_contributions(
-                    x, y, grid, kern.name, sl.start, sl.stop, dtype, engine
+                    x, y, grid, kern.name, sl.start, sl.stop, dtype
                 )
                 for row in contrib:
                     acc = sq_sums + row

@@ -28,7 +28,10 @@ import numpy as np
 
 from repro.exceptions import ValidationError
 from repro.kernels import Kernel
-from repro.core.fastgrid import fastgrid_block_sums, require_fast_grid_kernel
+from repro.core.fastgrid import (
+    fastgrid_row_contributions,
+    require_fast_grid_kernel,
+)
 from repro.cuda_port.host import CudaProgramResult
 from repro.obs.tracer import current_tracer
 from repro.cuda_port.timing_model import estimate_program_runtime
@@ -37,6 +40,8 @@ from repro.gpusim.kernel import LaunchStats
 from repro.gpusim.memory import ConstantMemory, GlobalMemory
 from repro.gpusim.reduction import device_argmin
 from repro.gpusim.timing import SimulatedRuntime, TimingModel
+from repro.utils.membudget import plan_blocks, rows_for_budget
+from repro.utils.numeric import fold_rows
 from repro.utils.validation import check_paired_samples, ensure_bandwidths
 
 __all__ = ["TiledCudaBandwidthProgram", "estimate_tiled_runtime", "default_tile_rows"]
@@ -53,8 +58,6 @@ def default_tile_rows(n: int, device: str | DeviceSpec | None = None) -> int:
     arithmetic as the host-side blockwise planner, so device tiles and
     host blocks answer "how many rows fit this budget?" identically.
     """
-    from repro.utils.membudget import rows_for_budget
-
     spec = get_device(device)
     budget = spec.global_memory_bytes // 2
     per_row = 2 * n * 4  # the two float32 tile buffers
@@ -94,6 +97,42 @@ def estimate_tiled_runtime(
         phases=base.phases,
         overhead_seconds=base.overhead_seconds + extra_overhead,
     )
+
+
+def streamed_block_sums(
+    x: np.ndarray,
+    y: np.ndarray,
+    grid: np.ndarray,
+    kernel_name: str,
+    start: int,
+    stop: int,
+) -> np.ndarray:
+    """Float32 squared-residual sums over rows ``[start, stop)``, streamed.
+
+    The simulator's executor for one device launch.  A launch may cover
+    thousands of rows (a whole tile or device share), and materialising
+    all of their host temporaries at once would exhaust an ordinary host
+    long before the simulated device fills, so the rows stream through
+    host memory in chunks sized by the host byte-budget planner
+    (:func:`~repro.utils.membudget.plan_blocks`, the blockwise sweep's).
+    The row-order fold carried across chunks gives the bits of
+    :func:`~repro.core.fastgrid.fastgrid_block_sums` over the whole range.
+    """
+    rows = plan_blocks(
+        x.shape[0],
+        grid.shape[0],
+        n_terms=len(require_fast_grid_kernel(kernel_name).poly_terms),
+        itemsize=4,
+    ).block_rows
+    total = np.zeros(grid.shape[0], dtype=np.float64)
+    for lo in range(start, stop, rows):
+        fold_rows(
+            fastgrid_row_contributions(
+                x, y, grid, kernel_name, lo, min(lo + rows, stop), "float32"
+            ),
+            total,
+        )
+    return total
 
 
 @dataclass(frozen=True)
@@ -181,10 +220,9 @@ class TiledCudaBandwidthProgram:
                 tile_index = 0
                 with tracer.span("main-kernel", tiles=-(-n // t)):
                     for lo in range(0, n, t):
-                        hi = min(lo + t, n)
-                        sums += fastgrid_block_sums(
-                            x_as64, y_as64, grid64, self.kernel.name, lo, hi,
-                            "float32",
+                        sums += streamed_block_sums(
+                            x_as64, y_as64, grid64, self.kernel.name, lo,
+                            min(lo + t, n),
                         )
                         tile_index += 1
                 d_scores.copy_from_host(sums.astype(np.float32))

@@ -28,7 +28,12 @@ from typing import Any
 
 import numpy as np
 
-from repro.exceptions import DistributedProtocolError, PayloadChecksumError
+from repro.exceptions import (
+    DistributedProtocolError,
+    PayloadChecksumError,
+    ValidationError,
+)
+from repro.utils.validation import ensure_bandwidths
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -90,7 +95,12 @@ def encode_dataset(
 
 
 def decode_dataset(body: dict[str, Any]) -> dict[str, Any]:
-    """Validate a staging message; arrays come back as float64."""
+    """Validate a staging message; arrays come back as float64.
+
+    The worker computes whatever it stages, so everything a sweep relies
+    on is checked here: a positive, strictly increasing grid, a float32 or
+    float64 dtype, and finite ``x``/``y``.
+    """
     _check_version(body)
     dataset_id = _require(body, "dataset_id", str)
     kernel = _require(body, "kernel", str)
@@ -107,6 +117,16 @@ def decode_dataset(body: dict[str, Any]) -> dict[str, Any]:
         raise DistributedProtocolError(
             f"dataset shapes malformed: x{x.shape}, y{y.shape}, grid{grid.shape}"
         )
+    if dtype not in ("float32", "float64"):
+        raise DistributedProtocolError(
+            f"dataset dtype must be float32 or float64, got {dtype!r}"
+        )
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise DistributedProtocolError("dataset x and y must be finite")
+    try:
+        grid = ensure_bandwidths(grid)
+    except ValidationError as exc:
+        raise DistributedProtocolError(f"dataset grid rejected: {exc}") from exc
     return {
         "dataset_id": dataset_id,
         "x": x,

@@ -93,7 +93,8 @@ class WorkerApp:
                 "GET /metrics, POST /dataset, POST /compute, POST /shutdown"
             )
         except ReproError as exc:
-            status = 400 if isinstance(exc, ValidationError) else 422
+            bad_input = (ValidationError, DistributedProtocolError)
+            status = 400 if isinstance(exc, bad_input) else 422
             return status, {
                 "error": str(exc),
                 "code": error_code(exc) or "REPRO_DIST",

@@ -56,7 +56,6 @@ from repro.resilience.checkpoint import sweep_fingerprint
 __all__ = [
     "ArtifactCache",
     "CacheStats",
-    "canonical_backend",
     "curve_fingerprint",
     "selection_fingerprint",
 ]
@@ -68,30 +67,6 @@ _KINDS = ("selection", "curve", "blocks")
 
 
 # -- fingerprints -----------------------------------------------------------
-
-#: Backends whose results are byte-identical to an already-fingerprinted
-#: family representative.  The compiled engine's float64 output carries
-#: the same bits as the numpy reference (the differential wall proves
-#: it), so a warm entry written by either implementation serves the
-#: other — including the capability fallback on a numba-less replica.
-#: Only the NEW backend names are mapped: re-keying the existing ones
-#: would invalidate every cache already on disk.
-_BACKEND_FAMILY: dict[str, str] = {
-    "compiled": "numpy",
-    "blocked-compiled": "blocked",
-}
-
-
-def canonical_backend(backend: str) -> str:
-    """The fingerprint family representative for ``backend``.
-
-    Note the float32 caveat: the compiled float32 fast path is tolerance-
-    contracted (same h_opt grid index, curves within rtol 1e-5) rather
-    than byte-identical, so a float32 hit may differ from a fresh compiled
-    recompute in the last few ulps — within the documented contract.
-    """
-    return _BACKEND_FAMILY.get(backend, backend)
-
 
 def curve_fingerprint(
     x: np.ndarray,
@@ -107,10 +82,8 @@ def curve_fingerprint(
     The backend is part of the key because backends differ in summation
     order and precision (the gpusim path accumulates in float32); two
     backends' curves for the same data are *close*, not identical, and a
-    bit-for-bit cache must not conflate them.  Byte-identical backends
-    are the exception: they share a key via :func:`canonical_backend`.
+    bit-for-bit cache must not conflate them.
     """
-    backend = canonical_backend(backend)
     base = sweep_fingerprint(x, y, bandwidths, kernel_name, dtype, 0)
     digest = hashlib.sha256()
     digest.update(f"curve|v{_FORMAT_VERSION}|{backend}|".encode())
@@ -134,10 +107,8 @@ def selection_fingerprint(
     ``options`` covers anything that steers the selector beyond the grid
     (``refine_rounds``, ``n_restarts``, ...); entries are serialised via
     ``repr`` in sorted key order, which is deterministic for the scalar
-    option values the selectors accept.  Byte-identical backends share a
-    key via :func:`canonical_backend`.
+    option values the selectors accept.
     """
-    backend = canonical_backend(backend)
     base = sweep_fingerprint(x, y, bandwidths, kernel_name, dtype, 0)
     digest = hashlib.sha256()
     digest.update(f"selection|v{_FORMAT_VERSION}|{method}|{backend}|".encode())

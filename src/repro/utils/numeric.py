@@ -60,15 +60,15 @@ def int_power(base: np.ndarray, power: int) -> np.ndarray:
     exponentiation over the exponent's bits (MSB first) —
     ``r = x; then per lower bit: r = r·r, and r = r·x when the bit is
     set``.  Because every step is an exactly-rounded IEEE multiply, the
-    chain produces the *same bits* whether it runs vectorised here or as
-    a scalar loop — which is what lets the compiled engine
-    (:mod:`repro.compiled.kernels`) reproduce the numpy sweep
-    byte-for-byte at every polynomial power.  numpy's own ``x ** p``
-    cannot serve as the contract: its SIMD ``pow`` differs from scalar
-    libm ``pow`` by an ulp on a few percent of inputs.
+    chain gives the *same bits* for a given distance whatever the array's
+    shape, length or alignment, so the three callers of the binned window
+    sum (:func:`repro.core.fastgrid.window_sums`: the regression,
+    multivariate and KDE-LSCV sweeps) see bit-stable powers.  numpy's own
+    ``x ** p`` cannot serve as the contract: its SIMD ``pow`` differs from
+    scalar libm ``pow`` by an ulp on a few percent of inputs.
 
-    The association order is part of the byte-identity contract; change
-    it here and in the compiled kernels together, or not at all.
+    The association order is part of the byte-identity contract: the
+    float64 CV curves pinned in the test suite depend on it.
     """
     if power < 1:
         raise ValueError(f"int_power requires power >= 1, got {power}")

@@ -1,5 +1,7 @@
 """Tests for the tiled (out-of-core) program — the paper's future work."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from repro.cuda_port import (
 )
 from repro.data import paper_dgp
 from repro.exceptions import DeviceMemoryError, ValidationError
+from repro.utils.membudget import plan_blocks
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +72,29 @@ class TestMemoryCeilingLifted:
         res = TiledCudaBandwidthProgram().run(x, y, grid.values)
         assert res.scores.shape == (10,)
         assert res.memory_report["peak_gb"] < 4.0
+
+    def test_host_peak_stays_within_the_plan(self, monkeypatch):
+        # The device holds one 6,000-row tile, but the host streams it in
+        # planner-sized chunks: the real allocation peak stays within
+        # 1.5x of the plan under a 16 MiB budget.
+        monkeypatch.setenv("REPRO_MEM_BUDGET", "16MiB")
+        rng = np.random.default_rng(5)
+        n, k = 6_000, 10
+        x = rng.uniform(size=n)
+        y = x + rng.normal(size=n) * 0.1
+        grid = BandwidthGrid.for_sample(x, k)
+        plan = plan_blocks(n, k, itemsize=4)
+        assert plan.n_blocks > 1, "the guard needs an actual partition"
+        tracemalloc.start()
+        try:
+            res = TiledCudaBandwidthProgram().run(x, y, grid.values)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.memory_report["tiles"] == 1
+        assert peak <= 1.5 * plan.predicted_peak_bytes, (
+            peak, plan.predicted_peak_bytes
+        )
 
     def test_default_tile_rows_fit_half_device(self):
         n = 100_000

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.distributed import WorkerApp
 from repro.distributed.protocol import (
     PROTOCOL_VERSION,
     decode_compute_request,
@@ -57,6 +58,33 @@ class TestDatasetMessages:
         body["x"] = ["a", "b", "c", "d", "e"]
         with pytest.raises(DistributedProtocolError):
             decode_dataset(body)
+
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("grid", [0.2, 0.1, 0.05]),
+            ("grid", [-0.1, 0.1, 0.2]),
+            ("dtype", "int64"),
+            ("x", [0.0, float("nan"), 2.0, 3.0, 4.0]),
+        ],
+        ids=["descending-grid", "negative-bandwidth", "int64-dtype", "nan-x"],
+    )
+    def test_worker_rejects_a_bad_dataset(self, field: str, value) -> None:
+        body = encode_dataset(
+            "ds1", np.arange(5.0), np.arange(5.0), np.array([0.5, 1.0, 2.0]),
+            "epanechnikov", "float64",
+        )
+        body[field] = value
+        with pytest.raises(DistributedProtocolError):
+            decode_dataset(body)
+        app = WorkerApp(worker_id="w0")
+        status, payload = app.handle("POST", "/dataset", body)
+        assert (status, payload["code"]) == (400, "REPRO_DIST_PROTOCOL")
+        status, _ = app.handle(
+            "POST", "/compute", encode_compute_request("ds1", 0, 0, 0, 5)
+        )
+        assert status != 200
 
 
 class TestComputeRequest:

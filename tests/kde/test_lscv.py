@@ -31,14 +31,35 @@ class TestEligibility:
             lscv_scores_fastgrid(x, np.array([0.1, 0.2]), "gaussian")
 
 
+def _adversarial(x: np.ndarray, grid: np.ndarray, variant: str):
+    """Offset X, tied X, or bandwidths below the smallest gap."""
+    if variant == "offset":
+        return x + 1e6, grid
+    if variant == "tied":
+        return np.round(x, 2), grid
+    if variant == "empty-windows":
+        gap = float(np.min(np.diff(np.unique(x))))
+        return x, np.concatenate([[gap / 4, gap / 2], grid])
+    return x, grid
+
+
 class TestFastDenseEquivalence:
+    """The fast sweep's contract: the dense oracle within ``rtol=1e-9``
+    and the same argmin, on offset X, tied X and empty windows too."""
+
+    @pytest.mark.parametrize(
+        "variant", ["plain", "offset", "tied", "empty-windows"]
+    )
     @pytest.mark.parametrize("kernel", ["epanechnikov", "uniform"])
-    def test_matches_dense_on_normal_sample(self, kernel, rng):
-        x = rng.normal(size=150)
-        grid = BandwidthGrid.for_sample(x, 12)
-        fast = lscv_scores_fastgrid(x, grid.values, kernel)
-        dense = lscv_scores_grid(x, grid.values, kernel)
+    def test_matches_dense_on_normal_sample(self, kernel, variant, rng):
+        x0 = rng.normal(size=150)
+        x, grid = _adversarial(
+            x0, BandwidthGrid.for_sample(x0, 12).values, variant
+        )
+        fast = lscv_scores_fastgrid(x, grid, kernel)
+        dense = lscv_scores_grid(x, grid, kernel)
         np.testing.assert_allclose(fast, dense, rtol=1e-9)
+        assert np.argmin(fast) == np.argmin(dense)
 
     @given(n=st.integers(5, 60), k=st.integers(1, 10), seed=st.integers(0, 5000))
     @settings(max_examples=25, deadline=None)

@@ -17,12 +17,50 @@ def trivariate():
     return x, y
 
 
+def _adversarial(x: np.ndarray, grid: np.ndarray, dim: int, variant: str):
+    """Offset X, tied X, or swept bandwidths below the smallest gap."""
+    if variant == "offset":
+        return x + 1e6, grid
+    if variant == "tied":
+        return np.round(x, 2), grid
+    if variant == "empty-windows":
+        gap = float(np.min(np.diff(np.unique(x[:, dim]))))
+        return x, np.concatenate([[gap / 4, gap / 2], grid])
+    return x, grid
+
+
+#: Known defect of the polynomial decomposition, not of this test: on the
+#: 0.01 lattice some rows' only neighbours sit at the window edge
+#: d = h = 0.08, where the kernel weight is ~1e-16 and
+#: ``c0·Σw − c2·Σw·d²/h²`` (minus the self weight) cancels to rounding
+#: noise, so the leave-one-out estimate at that bandwidth is wrong.
+EDGE_CASES = {(1, "tied"), (2, "tied")}
+EDGE_CANCELLATION = pytest.mark.xfail(
+    strict=True, reason="edge-of-window cancellation in the fast sweep"
+)
+
+
 class TestSweepDenseEquivalence:
-    @pytest.mark.parametrize("dim", [0, 1, 2])
-    def test_matches_dense_per_dim(self, trivariate, dim):
-        x, y = trivariate
+    """The sweep's contract: the dense oracle within ``rtol=1e-9`` and
+    the same argmin, on offset X, tied X and empty windows too."""
+
+    @pytest.mark.parametrize(
+        "dim, variant",
+        [
+            pytest.param(
+                dim, variant,
+                marks=[EDGE_CANCELLATION] if (dim, variant) in EDGE_CASES else [],
+            )
+            for variant in ("plain", "offset", "tied", "empty-windows")
+            for dim in (0, 1, 2)
+        ],
+    )
+    def test_matches_dense_per_dim(self, trivariate, dim, variant):
+        x, grid = _adversarial(
+            trivariate[0], np.linspace(0.08, 0.9, 6), dim, variant
+        )
+        y = trivariate[1]
         h = np.array([0.3, 0.25, 0.4])
-        grid = np.linspace(0.08, 0.9, 6)
         fast = mv_cv_scores_along_dim(x, y, h, dim, grid)
         dense = []
         for g in grid:
@@ -30,6 +68,7 @@ class TestSweepDenseEquivalence:
             h_try[dim] = g
             dense.append(mv_cv_score(x, y, h_try))
         np.testing.assert_allclose(fast, dense, rtol=1e-9)
+        assert np.argmin(fast) == np.argmin(dense)
 
     @given(seed=st.integers(0, 2000), dim=st.integers(0, 1))
     @settings(max_examples=15, deadline=None)

@@ -103,16 +103,6 @@ RETRY_CELLS = [
         FaultSpec(site="data.block", kind="nan", at=(0,)),
         id="blocked-shm-nan-block",
     ),
-    pytest.param(
-        "compiled",
-        FaultSpec(site="data.block", kind="nan", at=(1,)),
-        id="compiled-nan-block",
-    ),
-    pytest.param(
-        "blocked-compiled",
-        FaultSpec(site="data.block", kind="inf", at=(0,)),
-        id="blocked-compiled-inf-block",
-    ),
 ]
 
 #: Cells where the fault is structural and the engine must *degrade* —
@@ -275,57 +265,6 @@ class TestSharedMemoryChaos:
             chaos_sample, chaos_grid, "blocked-shm", fast_config
         )
         np.testing.assert_array_equal(a, b)
-
-
-class TestCompiledChaos:
-    """The compiled spur's degradation is lossless by construction: the
-    jitted kernel (or its numpy twin on the fallback) produces float64
-    block partials byte-identical to the reference, so even a *mid-run*
-    JIT loss must reproduce the exact clean-run bits — stronger than the
-    allclose contract of the generic degrade cells."""
-
-    def test_jit_loss_degrades_to_numpy_bit_identical(
-        self, chaos_sample, chaos_grid, chaos_seed, fast_config
-    ) -> None:
-        clean = _clean_scores(chaos_sample, chaos_grid, "numpy", fast_config)
-        x, y = chaos_sample
-        spec = FaultSpec(site="compiled.jit", kind="nojit", at=(0,))
-        with inject_faults(FaultInjector([spec], seed=chaos_seed)):
-            scores, report = resilient_cv_scores(
-                x, y, chaos_grid, backend="compiled", config=fast_config
-            )
-        np.testing.assert_array_equal(scores, clean)
-        assert report.degraded
-        assert report.backend_used == "numpy"
-        codes = {f["code"] for f in report.faults}
-        assert "REPRO_COMPILED_UNAVAILABLE" in codes
-
-    def test_jit_loss_storm_degrades_blocked_compiled_bit_identical(
-        self, chaos_sample, chaos_grid, chaos_seed, fast_config
-    ) -> None:
-        clean = _clean_scores(chaos_sample, chaos_grid, "blocked", fast_config)
-        x, y = chaos_sample
-        # Every compiled block dies: the engine must walk the spur to the
-        # plain blocked sweep and still land on the reference bits.
-        spec = FaultSpec(site="compiled.jit", kind="nojit", rate=1.0)
-        with inject_faults(FaultInjector([spec], seed=chaos_seed)):
-            scores, report = resilient_cv_scores(
-                x, y, chaos_grid, backend="blocked-compiled", config=fast_config
-            )
-        np.testing.assert_array_equal(scores, clean)
-        assert report.degraded
-        assert report.backend_used == "blocked"
-
-    def test_compiled_and_numpy_agree_bit_for_bit_when_clean(
-        self, chaos_sample, chaos_grid, fast_config
-    ) -> None:
-        a = _clean_scores(chaos_sample, chaos_grid, "numpy", fast_config)
-        b = _clean_scores(chaos_sample, chaos_grid, "compiled", fast_config)
-        c = _clean_scores(
-            chaos_sample, chaos_grid, "blocked-compiled", fast_config
-        )
-        np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(a, c)
 
 
 class TestCheckpointResume:
