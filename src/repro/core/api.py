@@ -142,25 +142,31 @@ def select_bandwidth(
         sweep** — bit-for-bit identical to the cold run, with
         ``diagnostics["cache"] == "hit"``.  On a miss the result (and,
         for the grid method, the CV curve) is stored for next time.
+        ``resilience`` is not part of the key: a resilient host sweep
+        returns the plain curve's bits, so either may answer the other.
     resilience:
         ``True`` or a :class:`~repro.resilience.engine.ResilienceConfig`
         to run on the resilient execution engine: transient faults are
         retried, device-level failures degrade down the backend fallback
         chain (``gpusim → gpusim-tiled → multicore → blocked → numpy``;
         ``blocked-shm`` joins at ``blocked``), and the result carries a
-        ``.resilience`` report.
+        ``.resilience`` report.  The ``numpy``, ``blocked``,
+        ``multicore`` and ``blocked-shm`` curves are the plain ones bit
+        for bit, even degraded; a degraded gpusim family's bits differ.
     resume:
         Checkpoint path (grid method only): completed row blocks are
         persisted there and a re-run with the same path resumes instead
         of recomputing them.  Implies ``resilience=True``.
     trace:
         ``True`` to record a hierarchical trace of this selection into a
-        fresh :class:`~repro.obs.Tracer` and attach its JSON-ready
-        snapshot as ``diagnostics["trace"]``; or pass a
-        :class:`~repro.obs.Tracer` you hold (for the exporters in
-        :mod:`repro.obs`); ``False`` forces tracing off even under an
-        ambient tracer; ``None`` (default) inherits the ambient tracer
-        installed by :func:`repro.obs.use_tracer` (no-op when none is).
+        fresh :class:`~repro.obs.Tracer`, or a :class:`~repro.obs.Tracer`
+        you hold (for the exporters in :mod:`repro.obs`); either way the
+        tracer's JSON-ready snapshot is attached as
+        ``diagnostics["trace"]``.  ``False`` forces tracing off even
+        under an ambient tracer; ``None`` (default) records into the
+        ambient tracer installed by :func:`repro.obs.use_tracer` (no-op
+        when none is) but attaches no snapshot — an ambient tracer such
+        as a server's ring outlives the call, and its owner reads it.
         Tracing never changes results: curves are bit-for-bit identical
         with tracing on and off.
     options:
@@ -286,6 +292,6 @@ def select_bandwidth(
 
     # Attach the snapshot after the cache write so stored selections stay
     # trace-free (a warm hit records its own, much shorter, trace).
-    if tracer.enabled:
+    if trace is not None and tracer.enabled:
         result.diagnostics["trace"] = tracer.to_payload()
     return result

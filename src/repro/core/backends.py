@@ -26,6 +26,11 @@ corresponds to one of the paper's execution substrates:
 Backends automatically fall back to the dense O(k·n²) evaluation for
 kernels without a polynomial form (Cosine, Gaussian), matching paper
 footnote 1.
+
+``numpy``, ``blocked``, ``multicore``, ``blocked-shm`` and
+``gpusim-tiled`` also register a block executor
+(:class:`~repro.core.blockwise.BlockExecutor`), through which the
+resilient engine runs their fast-grid sweeps block by block.
 """
 
 from __future__ import annotations
@@ -36,7 +41,13 @@ import numpy as np
 
 from repro.exceptions import BackendError
 from repro.kernels import Kernel, get_kernel
-from repro.core.blockwise import cv_scores_blocked, cv_scores_blocked_shm
+from repro.core.blockwise import (
+    BlockExecutor,
+    PoolExecutor,
+    ShmExecutor,
+    cv_scores_blocked,
+    cv_scores_blocked_shm,
+)
 from repro.core.fastgrid import (
     cv_scores_fastgrid,
     cv_scores_fastgrid_python,
@@ -51,6 +62,7 @@ __all__ = [
     "GridBackend",
     "BACKEND_REGISTRY",
     "get_backend",
+    "get_block_executor",
     "list_backends",
     "register_backend",
 ]
@@ -59,13 +71,25 @@ __all__ = [
 GridBackend = Callable[..., np.ndarray]
 
 BACKEND_REGISTRY: Dict[str, GridBackend] = {}
+_BLOCK_EXECUTORS: Dict[str, type[BlockExecutor]] = {}
 
 
-def register_backend(name: str, backend: GridBackend, *, overwrite: bool = False) -> None:
-    """Register a grid backend under ``name``."""
+def register_backend(
+    name: str,
+    backend: GridBackend,
+    *,
+    overwrite: bool = False,
+    executor: type[BlockExecutor] | None = None,
+) -> None:
+    """Register a grid backend under ``name``, with its block executor
+    class if it can run a fast-grid sweep block by block."""
     if name in BACKEND_REGISTRY and not overwrite:
         raise BackendError(f"backend {name!r} is already registered")
     BACKEND_REGISTRY[name] = backend
+    if executor is None:
+        _BLOCK_EXECUTORS.pop(name, None)
+    else:
+        _BLOCK_EXECUTORS[name] = executor
 
 
 def get_backend(name: str) -> GridBackend:
@@ -84,6 +108,12 @@ def get_backend(name: str) -> GridBackend:
             sorted(set(BACKEND_REGISTRY) | {"gpusim", "gpusim-tiled", "distributed"})
         )
         raise BackendError(f"unknown backend {name!r}; known: {known}") from None
+
+
+def get_block_executor(name: str) -> type[BlockExecutor] | None:
+    """The backend's block executor class (``None``: whole-call only)."""
+    get_backend(name)
+    return _BLOCK_EXECUTORS.get(name)
 
 
 def list_backends() -> list[str]:
@@ -239,7 +269,7 @@ def _blocked_shm_backend(
 
 
 register_backend("python", _python_backend)
-register_backend("numpy", _numpy_backend)
-register_backend("multicore", _multicore_backend)
-register_backend("blocked", _blocked_backend)
-register_backend("blocked-shm", _blocked_shm_backend)
+register_backend("numpy", _numpy_backend, executor=BlockExecutor)
+register_backend("multicore", _multicore_backend, executor=PoolExecutor)
+register_backend("blocked", _blocked_backend, executor=BlockExecutor)
+register_backend("blocked-shm", _blocked_shm_backend, executor=ShmExecutor)

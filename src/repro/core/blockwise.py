@@ -22,18 +22,26 @@ memory ceiling an explicit *budget* instead of an accident:
    (:mod:`repro.parallel.shm`) — per-block IPC is a ``(start, stop)``
    pair, and the parent performs the same global fold over the shared
    matrix, preserving the bit-exactness guarantee across worker counts.
+
+Its block executors (:class:`BlockExecutor`) are the one place a
+backend's row blocks run: both the plain ``blocked-shm`` sweep and the
+resilient engine drive them.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+from typing import Any, Callable
+
 import numpy as np
 
 from repro.core.fastgrid import (
-    fastgrid_block_sums,
     fastgrid_row_contributions,
     require_fast_grid_kernel,
 )
-from repro.obs.tracer import current_tracer
+from repro.exceptions import BlockTimeoutError
+from repro.kernels import Kernel
+from repro.obs.tracer import current_span_id, current_tracer
 from repro.parallel.pool import WorkerPool, traced_work_unit
 from repro.parallel.shm import ShmWorkspace, attach_workspace, current_workspace
 from repro.resilience import faults
@@ -43,11 +51,13 @@ from repro.core.grid import ensure_bandwidth_grid
 from repro.utils.validation import check_paired_samples
 
 __all__ = [
+    "BlockExecutor",
+    "PoolExecutor",
+    "ShmExecutor",
     "cv_scores_blocked",
     "cv_scores_blocked_shm",
     "plan_for",
     "shm_block_rows",
-    "shm_block_sums",
 ]
 
 
@@ -144,24 +154,187 @@ def shm_block_rows(
     return start, stop
 
 
-def shm_block_sums(
-    kernel_name: str,
-    start: int,
-    stop: int,
-    dtype: str = "float64",
-) -> np.ndarray:
-    """Block k-vector partial read from the attached workspace.
+# -- block executors ---------------------------------------------------------
 
-    The resilient engine's blocked-shm work unit: same partial sums as
-    the serial ``blocked`` candidate (identical bits for an identical
-    partition — what makes shm -> blocked degradation lossless), with
-    the inputs attached rather than pickled.
+
+class BlockExecutor:
+    """Runs the row blocks of one fast-grid sweep on one backend.
+
+    A block-capable backend registers its executor class, built as
+    ``cls(x, y, grid, kern, **backend_options)``.  The owner of the row
+    loop :meth:`open`-s it, :meth:`submit`-s blocks, folds the rows their
+    collectors return (``collect(timeout)``) in global row order, and
+    :meth:`close`-s it (``abort=True`` on an error path).  ``plan`` is
+    the memory plan that caps the block size (``None``: uncapped).
+
+    This class is the ``numpy`` and ``blocked`` executor: in process,
+    each block's :func:`fastgrid_row_contributions` computed when it is
+    collected.
     """
-    workspace = current_workspace()
-    return fastgrid_block_sums(
-        workspace["x"], workspace["y"], workspace["grid"],
-        kernel_name, start, stop, dtype,
-    )
+
+    #: Whether the plan budgets the n×k output matrix.
+    output_matrix = False
+
+    def __init__(
+        self,
+        x: np.ndarray,
+        y: np.ndarray,
+        grid: np.ndarray,
+        kern: Kernel,
+        *,
+        dtype: str = "float64",
+        **options: Any,
+    ):
+        self.x, self.y, self.grid, self.kern = x, y, grid, kern
+        self.dtype = dtype
+        self.plan: BlockPlan | None = plan_for(
+            len(x), len(grid), kern.name, dtype=dtype,
+            memory_budget=options.get("memory_budget"),
+            block_rows=options.get("block_rows"),
+            output_matrix=self.output_matrix,
+        )
+
+    def open(self) -> None:
+        """Acquire the backend's resources."""
+
+    def submit(self, start: int, stop: int) -> Callable[..., np.ndarray]:
+        """Start rows ``[start, stop)``; returns the block's collector."""
+        return lambda timeout=None: fastgrid_row_contributions(
+            self.x, self.y, self.grid, self.kern.name, start, stop, self.dtype
+        )
+
+    def rebuild(self) -> bool:
+        """Replace crashed workers; False when there are none."""
+        return False
+
+    def close(self, *, abort: bool = False) -> None:
+        """Release the resources; ``abort`` abandons in-flight blocks."""
+
+
+class PoolExecutor(BlockExecutor):
+    """The ``multicore`` executor: blocks run on a :class:`WorkerPool`.
+
+    A caller's ``pool`` is used and rebuilt but never retired; otherwise
+    the executor owns one of ``workers`` processes.
+    """
+
+    def __init__(
+        self,
+        *args: Any,
+        workers: int | None = None,
+        pool: WorkerPool | None = None,
+        **options: Any,
+    ):
+        super().__init__(*args, **options)
+        self.workers = workers
+        self.pool = pool
+        self.owns_pool = pool is None
+
+    def open(self) -> None:
+        if self.owns_pool:
+            self.pool = WorkerPool(self.workers)
+
+    def submit(self, start: int, stop: int) -> Callable[..., np.ndarray]:
+        args = (self.x, self.y, self.grid, self.kern.name, start, stop, self.dtype)
+        return self._submit(fastgrid_row_contributions, args, start, stop)
+
+    def _submit(
+        self,
+        func: Callable[..., Any],
+        args: tuple,
+        start: int,
+        stop: int,
+        fault_kind: str | None = None,
+    ) -> Callable[..., Any]:
+        """Submit one unit now (a wave runs in parallel); its collector
+        grafts a traced worker's spans under the span open at collection."""
+        assert self.pool is not None
+        traced = current_tracer().enabled
+        unit, unit_args = func, args
+        if traced:
+            unit, unit_args = traced_work_unit, (func,) + args
+        if fault_kind is not None:
+            unit, unit_args = faults.faulty_call, (fault_kind, unit) + unit_args
+        future = self.pool.apply_async(unit, unit_args)
+
+        def collect(timeout: float | None = None) -> Any:
+            try:
+                value = future.get(timeout)
+            except multiprocessing.TimeoutError:
+                raise BlockTimeoutError(
+                    f"rows[{start}:{stop}) missed its {timeout}s deadline"
+                ) from None
+            if traced:
+                value, spans, counters, maxima = value
+                tracer = current_tracer()
+                if tracer.enabled:
+                    tracer.adopt(spans, parent_id=current_span_id())
+                    tracer.merge_counters(counters, maxima)
+            return value
+
+        return collect
+
+    def rebuild(self) -> bool:
+        assert self.pool is not None
+        self.pool.rebuild()
+        return True
+
+    def close(self, *, abort: bool = False) -> None:
+        if self.owns_pool and self.pool is not None:
+            if abort:
+                self.pool.terminate()
+            else:
+                self.pool.close()
+
+
+class ShmExecutor(PoolExecutor):
+    """The ``blocked-shm`` executor: a shared-memory workspace and its pool.
+
+    Workers attach X, Y, the grid and the n×k contribution matrix by
+    segment name, and a collector returns its block's rows as a view of
+    that matrix, valid until :meth:`close`.  The pool's initializer
+    carries the manifest, so a rebuild re-attaches the same segments.
+    """
+
+    output_matrix = True
+
+    def open(self) -> None:
+        n, k = len(self.x), len(self.grid)
+        # A purged segment surfaces here as a structural REPRO_SHM_SEGMENT.
+        faults.fire("shm.segment", f"workspace[n={n},k={k}]")
+        self.workspace = ShmWorkspace.create(
+            inputs={"x": self.x, "y": self.y, "grid": self.grid},
+            outputs={"out": ((n, k), "float64")},
+        )
+        self.owns_pool = True
+        try:
+            self.pool = WorkerPool(
+                self.workers,
+                initializer=attach_workspace,
+                initargs=(self.workspace.manifest(),),
+            )
+        except BaseException:
+            self.workspace.close()
+            raise
+
+    def submit(self, start: int, stop: int) -> Callable[..., np.ndarray]:
+        # Parent-drawn worker-death directive: the injected crash/timeout
+        # is raised inside the child, like a real dead worker's.
+        kind = faults.draw("shm.worker", f"rows[{start}:{stop})")
+        args = (self.kern.name, start, stop, self.dtype)
+        collect = self._submit(shm_block_rows, args, start, stop, kind)
+
+        def rows(timeout: float | None = None) -> np.ndarray:
+            collect(timeout)
+            return self.workspace["out"][start:stop]
+
+        return rows
+
+    def close(self, *, abort: bool = False) -> None:
+        try:
+            super().close(abort=abort)
+        finally:
+            self.workspace.close()
 
 
 def cv_scores_blocked_shm(
@@ -177,8 +350,8 @@ def cv_scores_blocked_shm(
 ) -> np.ndarray:
     """Blockwise sweep fanned over a shared-memory worker pool.
 
-    Workers attach the inputs and the n×k contribution matrix by
-    segment name; the parent folds the finished matrix in global row
+    Runs the blocks on a :class:`ShmExecutor`, whose workers fill the
+    shared n×k contribution matrix; the parent folds it in global row
     order, so the scores are bit-for-bit :func:`cv_scores_blocked`'s —
     and hence the ``numpy`` backend's — for any block size *and* any
     worker count.
@@ -191,47 +364,25 @@ def cv_scores_blocked_shm(
     tracer = current_tracer()
     with tracer.span("blocked-shm-sweep", n=n, k=k, kernel=kern.name, dtype=dtype):
         with tracer.span("plan") as pspan:
-            plan = plan_for(
-                n,
-                k,
-                kern.name,
-                dtype=dtype,
-                memory_budget=memory_budget,
-                block_rows=block_rows,
-                output_matrix=True,
+            executor = ShmExecutor(
+                x, y, grid, kern, memory_budget=memory_budget,
+                block_rows=block_rows, workers=workers, dtype=dtype,
             )
-            pspan.set(**plan.to_dict())
-        faults.fire("shm.segment", f"workspace[n={n},k={k}]")
-        workspace = ShmWorkspace.create(
-            inputs={"x": x, "y": y, "grid": grid},
-            outputs={"out": ((n, k), "float64")},
-        )
+            assert executor.plan is not None
+            pspan.set(**executor.plan.to_dict())
+        blocks = executor.plan.blocks()
+        executor.open()
         try:
-            blocks = plan.blocks()
-            args_list = [
-                (kern.name, bstart, bstop, dtype)
-                for bstart, bstop in blocks
-            ]
-            with WorkerPool(
-                workers,
-                initializer=attach_workspace,
-                initargs=(workspace.manifest(),),
-            ) as pool:
-                if tracer.enabled:
-                    with tracer.span(
-                        "block-sweep", blocks=len(blocks), workers=pool.workers
-                    ) as parent:
-                        wrapped = [
-                            (shm_block_rows,) + args for args in args_list
-                        ]
-                        outputs = pool.starmap(traced_work_unit, wrapped)
-                        for _, spans, counters, maxima in outputs:
-                            tracer.adopt(spans, parent_id=parent.span_id)
-                            tracer.merge_counters(counters, maxima)
-                else:
-                    pool.starmap(shm_block_rows, args_list)
+            assert executor.pool is not None
+            with tracer.span(
+                "block-sweep", blocks=len(blocks), workers=executor.pool.workers
+            ):
+                for collect in [executor.submit(*block) for block in blocks]:
+                    collect()
             with tracer.span("reduce", rows=n):
-                total = fold_rows(workspace["out"])
-        finally:
-            workspace.close()
+                total = fold_rows(executor.workspace["out"])
+        except BaseException:
+            executor.close(abort=True)
+            raise
+        executor.close()
     return total / n

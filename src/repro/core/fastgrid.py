@@ -48,6 +48,7 @@ from repro.exceptions import ValidationError
 from repro.kernels import Kernel, get_kernel
 from repro.obs.tracer import current_tracer
 from repro.utils.chunking import chunk_slices, suggest_chunk_rows
+from repro.utils.membudget import plan_blocks
 from repro.utils.numeric import fold_rows, int_power
 from repro.utils.validation import check_paired_samples, ensure_bandwidths
 
@@ -292,22 +293,30 @@ def fastgrid_block_sums(
 ) -> np.ndarray:
     """Squared-residual sums over observations ``[start, stop)``.
 
-    The unit of work for the multicore backend and the resilient engine:
-    top-level (hence picklable) and self-contained, so worker processes
-    can be handed ``(x, y, grid, kernel, row range)`` and return a
-    k-vector that the parent simply adds up.  The full CV score is the
-    sum of these blocks over a partition of ``range(n)``, divided by n.
-
-    The within-block reduction is the canonical strict row-order fold, so
-    two partitions whose block boundaries coincide produce identical bits
-    (bit-exactness across *different* partitions needs the row matrices
-    from :func:`fastgrid_row_contributions` folded globally).
+    The strict row-order fold of :func:`fastgrid_row_contributions`, with
+    the rows streamed through host memory in chunks sized by the
+    byte-budget planner (:func:`~repro.utils.membudget.plan_blocks`), so
+    a range of thousands of rows — a simulated device launch — never
+    materialises all of its temporaries at once.  The fold carried across
+    chunks gives the bits of one fold over the whole range; bit-exactness
+    across *different* partitions needs the rows folded globally.
     """
-    return fold_rows(
-        fastgrid_row_contributions(
-            x, y, bandwidths, kernel_name, start, stop, dtype
+    kern = require_fast_grid_kernel(kernel_name)
+    if not 0 <= start < stop <= len(x):
+        raise ValidationError(f"invalid row block [{start}, {stop}) for n={len(x)}")
+    rows = plan_blocks(
+        len(x), len(bandwidths), n_terms=len(kern.poly_terms),
+        itemsize=np.dtype(dtype).itemsize,
+    ).block_rows
+    total = np.zeros(len(bandwidths), dtype=np.float64)
+    for lo in range(start, stop, rows):
+        fold_rows(
+            fastgrid_row_contributions(
+                x, y, bandwidths, kern.name, lo, min(lo + rows, stop), dtype
+            ),
+            total,
         )
-    )
+    return total
 
 
 def cv_scores_fastgrid(

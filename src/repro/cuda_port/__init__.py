@@ -17,6 +17,7 @@ from repro.cuda_port.multi_gpu import (
     estimate_multi_gpu_runtime,
 )
 from repro.cuda_port.tiled import (
+    TileExecutor,
     TiledCudaBandwidthProgram,
     default_tile_rows,
     estimate_tiled_runtime,
@@ -92,4 +93,4 @@ def _gpusim_backend(
 if "gpusim" not in BACKEND_REGISTRY:
     register_backend("gpusim", _gpusim_backend)
 if "gpusim-tiled" not in BACKEND_REGISTRY:
-    register_backend("gpusim-tiled", _gpusim_tiled_backend)
+    register_backend("gpusim-tiled", _gpusim_tiled_backend, executor=TileExecutor)

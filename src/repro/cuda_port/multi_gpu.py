@@ -30,9 +30,8 @@ import numpy as np
 
 from repro.exceptions import ValidationError
 from repro.kernels import Kernel
-from repro.core.fastgrid import require_fast_grid_kernel
+from repro.core.fastgrid import fastgrid_block_sums, require_fast_grid_kernel
 from repro.cuda_port.host import CudaProgramResult
-from repro.cuda_port.tiled import streamed_block_sums
 from repro.cuda_port.timing_model import estimate_program_runtime
 from repro.gpusim.device import DeviceSpec, get_device
 from repro.gpusim.kernel import LaunchStats
@@ -153,13 +152,14 @@ class MultiGpuBandwidthProgram:
                     gmem.reserve((share, k), np.float32, label=f"sum-yd^p[{p}]")
                 gmem.reserve((k, share), np.float32, label="sq-residuals")
 
-                partials += streamed_block_sums(
+                partials += fastgrid_block_sums(
                     x32.astype(np.float64),
                     y32.astype(np.float64),
                     constant.read().astype(np.float64),
                     self.kernel.name,
                     lo,
                     hi,
+                    "float32",
                 )
                 reports.append(gmem.report())
             finally:

@@ -22,16 +22,14 @@ why the paper expected this fix to be cheap.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from typing import Any, Callable
 
 import numpy as np
 
 from repro.exceptions import ValidationError
 from repro.kernels import Kernel
-from repro.core.fastgrid import (
-    fastgrid_row_contributions,
-    require_fast_grid_kernel,
-)
+from repro.core.blockwise import BlockExecutor
+from repro.core.fastgrid import fastgrid_block_sums, require_fast_grid_kernel
 from repro.cuda_port.host import CudaProgramResult
 from repro.obs.tracer import current_tracer
 from repro.cuda_port.timing_model import estimate_program_runtime
@@ -40,11 +38,15 @@ from repro.gpusim.kernel import LaunchStats
 from repro.gpusim.memory import ConstantMemory, GlobalMemory
 from repro.gpusim.reduction import device_argmin
 from repro.gpusim.timing import SimulatedRuntime, TimingModel
-from repro.utils.membudget import plan_blocks, rows_for_budget
-from repro.utils.numeric import fold_rows
+from repro.utils.membudget import rows_for_budget
 from repro.utils.validation import check_paired_samples, ensure_bandwidths
 
-__all__ = ["TiledCudaBandwidthProgram", "estimate_tiled_runtime", "default_tile_rows"]
+__all__ = [
+    "TileExecutor",
+    "TiledCudaBandwidthProgram",
+    "default_tile_rows",
+    "estimate_tiled_runtime",
+]
 
 
 def default_tile_rows(n: int, device: str | DeviceSpec | None = None) -> int:
@@ -99,50 +101,36 @@ def estimate_tiled_runtime(
     )
 
 
-def streamed_block_sums(
-    x: np.ndarray,
-    y: np.ndarray,
-    grid: np.ndarray,
-    kernel_name: str,
-    start: int,
-    stop: int,
-) -> np.ndarray:
-    """Float32 squared-residual sums over rows ``[start, stop)``, streamed.
+class TileExecutor(BlockExecutor):
+    """The ``gpusim-tiled`` block executor: one simulated launch per block.
 
-    The simulator's executor for one device launch.  A launch may cover
-    thousands of rows (a whole tile or device share), and materialising
-    all of their host temporaries at once would exhaust an ordinary host
-    long before the simulated device fills, so the rows stream through
-    host memory in chunks sized by the host byte-budget planner
-    (:func:`~repro.utils.membudget.plan_blocks`, the blockwise sweep's).
-    The row-order fold carried across chunks gives the bits of
-    :func:`~repro.core.fastgrid.fastgrid_block_sums` over the whole range.
+    A launch charges its two t×n float32 tile buffers to the simulated
+    device (so an injected or genuine ``cudaMalloc`` failure surfaces
+    here), returns its 1×k float32-arithmetic sum and frees them again.
     """
-    rows = plan_blocks(
-        x.shape[0],
-        grid.shape[0],
-        n_terms=len(require_fast_grid_kernel(kernel_name).poly_terms),
-        itemsize=4,
-    ).block_rows
-    total = np.zeros(grid.shape[0], dtype=np.float64)
-    for lo in range(start, stop, rows):
-        fold_rows(
-            fastgrid_row_contributions(
-                x, y, grid, kernel_name, lo, min(lo + rows, stop), "float32"
-            ),
-            total,
-        )
-    return total
 
+    def __init__(self, *args: Any, device: str | None = None, **_: Any):
+        super().__init__(*args, dtype="float32")
+        self.plan = None  # a tile's sum is per launch: keep the tile size
+        self.device = device
 
-@dataclass(frozen=True)
-class TileReport:
-    """Per-tile execution record."""
+    def open(self) -> None:
+        self.gmem = GlobalMemory(get_device(self.device))
 
-    tile_index: int
-    start: int
-    stop: int
-    peak_gb: float
+    def submit(self, start: int, stop: int) -> Callable[..., np.ndarray]:
+        def launch(timeout: float | None = None) -> np.ndarray:
+            tile = (stop - start, len(self.x))
+            try:
+                self.gmem.reserve(tile, np.float32, label="absdiff-tile")
+                self.gmem.reserve(tile, np.float32, label="y-tile")
+                return fastgrid_block_sums(
+                    self.x, self.y, self.grid, self.kern.name, start, stop,
+                    "float32",
+                )[None, :]
+            finally:
+                self.gmem.free_all()
+
+        return launch
 
 
 class TiledCudaBandwidthProgram:
@@ -220,9 +208,9 @@ class TiledCudaBandwidthProgram:
                 tile_index = 0
                 with tracer.span("main-kernel", tiles=-(-n // t)):
                     for lo in range(0, n, t):
-                        sums += streamed_block_sums(
+                        sums += fastgrid_block_sums(
                             x_as64, y_as64, grid64, self.kernel.name, lo,
-                            min(lo + t, n),
+                            min(lo + t, n), "float32",
                         )
                         tile_index += 1
                 d_scores.copy_from_host(sums.astype(np.float32))

@@ -36,6 +36,7 @@ __all__ = [
     "Tracer",
     "TracerLike",
     "coerce_tracer",
+    "current_span_id",
     "current_tracer",
     "reset_worker_context",
     "use_tracer",
@@ -349,6 +350,12 @@ def current_tracer() -> TracerLike:
     """The tracer installed in the current context (``NULL_TRACER`` if none)."""
     tracer = _ACTIVE_TRACER.get(None)
     return tracer if tracer is not None else NULL_TRACER
+
+
+def current_span_id() -> int | None:
+    """Id of the span open in the current context (``None`` outside one)."""
+    active = _ACTIVE_SPAN.get(None)
+    return active.span_id if isinstance(active, _SpanHandle) else None
 
 
 @contextmanager

@@ -254,7 +254,7 @@ class WorkerPool:
     ) -> "mp.pool.AsyncResult":
         """Submit one work unit; returns the ``AsyncResult`` future.
 
-        The resilience engine's submission primitive: per-unit results can
+        The block executors' submission primitive: per-unit results can
         be collected with a deadline (``.get(timeout)``) and retried
         individually.  Always runs on the pool (opening it on demand) so a
         hung unit cannot block the parent.

@@ -11,8 +11,8 @@ at all.  This package exploits that:
   exactly;
 * :mod:`~repro.resilience.policy` — bounded retries with exponential
   backoff and deterministic jitter, plus per-block deadlines;
-* :mod:`~repro.resilience.checkpoint` — resumable per-row-block partial
-  sums for the O(n² log n) sweep (``resume=`` on the public selectors);
+* :mod:`~repro.resilience.checkpoint` — the resumable, ordered fold of
+  the sweep's row blocks (``resume=`` on the public selectors);
 * :mod:`~repro.resilience.degrade` — the backend fallback chain
   ``gpusim → gpusim-tiled → multicore → numpy`` driven by stable
   ``REPRO_*`` error codes, reported in a :class:`ResilienceReport`;

@@ -12,9 +12,13 @@ and the sequential fast grid always completes.  So::
     gpusim  →  gpusim-tiled  →  multicore  →  blocked  →  numpy (serial)
 
 The shared-memory variant sits on its own spur: ``blocked-shm`` degrades
-first to ``blocked`` (same block partials, so the fallback is bit-exact)
-when its POSIX segments vanish (``REPRO_SHM_SEGMENT``), then to the
-serial terminal.
+first to ``blocked`` when its POSIX segments vanish
+(``REPRO_SHM_SEGMENT``), then to the serial terminal.
+
+For the fast-grid kernels every host backend folds the same rows in the
+same order, so the host degradations (``blocked-shm → blocked``,
+``multicore → blocked → numpy``) are bit-exact; only the gpusim family
+(float32 arithmetic) changes bits when it degrades.
 
 Decisions match on the stable ``REPRO_*`` error *codes* (see
 :mod:`repro.exceptions`), not on class identity, so refactoring the
@@ -119,8 +123,6 @@ def fallback_chain(backend: str) -> tuple[str, ...]:
     if backend in DEFAULT_FALLBACK_CHAIN:
         idx = DEFAULT_FALLBACK_CHAIN.index(backend)
         return DEFAULT_FALLBACK_CHAIN[idx:]
-    if backend == DEFAULT_FALLBACK_CHAIN[-1]:
-        return (backend,)
     return (backend, DEFAULT_FALLBACK_CHAIN[-1])
 
 

@@ -1,10 +1,9 @@
 """The resilient execution engine for the CV grid search.
 
 The engine turns the paper's per-observation decomposition into a fault
-boundary.  ``CV_lc`` over a bandwidth grid is ``(Σ_blocks s_b) / n``
-where ``s_b`` is the k-vector of squared-residual sums over a row block —
-so the engine runs the sweep *block by block*, and around every block it
-places the full resilience stack:
+boundary: ``CV_lc`` over a bandwidth grid is the row-order fold of
+per-observation k-vectors, divided by n, so the engine runs the sweep
+*block by block* and places the full resilience stack around every block:
 
 1. **retry** — transient faults (worker crash, timeout, kernel-launch
    failure, corrupt result) recompute the block under the
@@ -16,48 +15,38 @@ places the full resilience stack:
 3. **degrade** — structural faults (device OOM, constant-memory
    exhaustion) walk the :func:`~repro.resilience.degrade.fallback_chain`
    to the next backend;
-4. **verify** — every block's partial sums pass a finiteness check, so
-   NaN/Inf corruption is recomputed instead of silently poisoning the
-   whole CV curve.
+4. **verify** — every block's rows pass a finiteness check, so NaN/Inf
+   corruption is recomputed instead of poisoning the whole CV curve.
 
-Because blocks are accumulated in index order and the checkpoint stores
-exact float64 sums, a run that absorbed faults (or resumed mid-sweep)
-produces *bit-for-bit* the same CV scores as an undisturbed one — the
-property the chaos suite in ``tests/resilience/`` asserts.
-
-Backends fall into two execution shapes:
-
-* **block-sweep** (``numpy``, ``multicore``, ``gpusim-tiled``,
-  ``blocked``, ``blocked-shm``): the engine owns the row loop; the
-  backend determines how one block is computed (in-process, on the pool,
-  on the simulated device with tile-buffer residency, or on a
-  shared-memory pool with budget-planned block sizes);
-* **whole-call** (``gpusim`` monolithic, ``python``, dense kernels,
-  user-registered backends): the backend is atomic; retry/degrade wrap
-  the entire call and resume is unavailable (the monolithic CUDA program
-  has no partial result to save — which is exactly why the tiled variant
-  sits next in the chain).
+Blocks run on the backend's own block executor
+(:func:`repro.core.backends.get_block_executor`), and the checkpoint
+folds what they return in global row order.  So a resilient host curve
+(``numpy``, ``blocked``, ``multicore``, ``blocked-shm``) *is* the plain
+backend's curve, bit for bit, at any block size, budget or worker count,
+through faults, resumes and host degradations.  A ``gpusim-tiled`` block
+is one simulated launch's 1×k float32-arithmetic sum, so only the gpusim
+family changes bits when it degrades.  Backends without an executor
+(``gpusim``, ``python``, ``distributed``, dense kernels) run as one
+atomic call under retry/degrade, with no resume.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
 from repro.exceptions import (
-    BlockTimeoutError,
     DataCorruptionError,
     ValidationError,
     error_code,
 )
 from repro.kernels import Kernel, get_kernel
 from repro.obs.tracer import current_tracer
-from repro.parallel.pool import WorkerPool, traced_work_unit
+from repro.parallel.pool import WorkerPool
 from repro.utils.validation import check_paired_samples, ensure_bandwidths
 from repro.resilience import faults
 from repro.resilience.checkpoint import SweepCheckpoint, sweep_fingerprint
@@ -73,6 +62,9 @@ from repro.resilience.policy import (
     run_with_retry,
 )
 
+if TYPE_CHECKING:
+    from repro.core.blockwise import BlockExecutor
+
 __all__ = [
     "ResilienceConfig",
     "ResilientEngine",
@@ -82,14 +74,6 @@ __all__ = [
 
 #: Codes after which a pool must be reforked before retrying.
 _POOL_FATAL_CODES = frozenset({"REPRO_WORKER_CRASH", "REPRO_BLOCK_TIMEOUT"})
-
-#: Backends the engine can drive block-by-block (resumable).
-_BLOCK_BACKENDS = frozenset(
-    {"numpy", "multicore", "gpusim-tiled", "blocked", "blocked-shm"}
-)
-
-#: The blockwise family sizes its blocks from the memory-budget planner.
-_BUDGETED_BACKENDS = frozenset({"blocked", "blocked-shm"})
 
 
 def default_block_rows(n: int) -> int:
@@ -264,30 +248,16 @@ class ResilientEngine:
         checkpoint_enabled: bool,
         degraded: bool,
     ) -> np.ndarray:
-        if candidate in _BLOCK_BACKENDS and kern.supports_fast_grid:
+        from repro.core.backends import get_backend, get_block_executor
+
+        executor = get_block_executor(candidate)
+        if executor is not None and kern.supports_fast_grid:
             return self._block_sweep(
                 candidate,
-                x,
-                y,
-                grid,
-                kern,
-                options,
+                executor(x, y, grid, kern, **options),
                 checkpoint_enabled=checkpoint_enabled,
                 degraded=degraded,
             )
-        return self._whole_call(candidate, x, y, grid, kern, options)
-
-    def _whole_call(
-        self,
-        candidate: str,
-        x: np.ndarray,
-        y: np.ndarray,
-        grid: np.ndarray,
-        kern: Kernel,
-        options: dict[str, Any],
-    ) -> np.ndarray:
-        from repro.core.backends import get_backend
-
         backend_fn = get_backend(candidate)
 
         def attempt() -> np.ndarray:
@@ -320,49 +290,28 @@ class ResilientEngine:
     def _block_sweep(
         self,
         candidate: str,
-        x: np.ndarray,
-        y: np.ndarray,
-        grid: np.ndarray,
-        kern: Kernel,
-        options: dict[str, Any],
+        executor: BlockExecutor,
         *,
         checkpoint_enabled: bool,
         degraded: bool,
     ) -> np.ndarray:
-        n = int(x.shape[0])
-        k = int(grid.shape[0])
-        policy = self.config.policy
-        dtype = str(
-            options.get(
-                "dtype", "float32" if candidate == "gpusim-tiled" else "float64"
-            )
-        )
+        n, k = len(executor.x), len(executor.grid)
         block_rows = self.config.block_rows
-        if block_rows is None and candidate in _BUDGETED_BACKENDS:
-            from repro.core.blockwise import plan_for
-
-            # Budget-planned granularity, capped at the checkpoint default
-            # so a roomy budget never coarsens resumability.  blocked and
-            # blocked-shm share the plan (output_matrix is irrelevant here:
-            # the engine collects k-vector partials, never the row matrix),
-            # which is what makes shm -> blocked degradation bit-exact.
-            plan = plan_for(
-                n,
-                k,
-                kern.name,
-                dtype=dtype,
-                memory_budget=options.get("memory_budget"),
-            )
-            block_rows = min(default_block_rows(n), plan.block_rows)
-        elif block_rows is None:
+        if block_rows is None:
+            # Capped by the backend's memory plan, never coarser than the
+            # checkpoint default, so a roomy budget keeps resumability.
             block_rows = default_block_rows(n)
+            if executor.plan is not None:
+                block_rows = min(block_rows, executor.plan.block_rows)
         blocks = [(s, min(s + block_rows, n)) for s in range(0, n, block_rows)]
         self.report.blocks_total += len(blocks)
 
-        ckpt_path = self.config.checkpoint if checkpoint_enabled else None
         ckpt = SweepCheckpoint.open(
-            ckpt_path,
-            fingerprint=sweep_fingerprint(x, y, grid, kern.name, dtype, block_rows),
+            self.config.checkpoint if checkpoint_enabled else None,
+            fingerprint=sweep_fingerprint(
+                executor.x, executor.y, executor.grid, executor.kern.name,
+                executor.dtype, block_rows,
+            ),
             n=n,
             k=k,
             block_rows=block_rows,
@@ -375,53 +324,16 @@ class ResilientEngine:
         if ckpt.path is not None:
             self.report.checkpoint_path = str(ckpt.path)
 
-        pool: WorkerPool | None = None
-        owns_pool = False
-        workspace = None
-        if candidate == "multicore":
-            pool = options.get("pool")
-            if pool is None:
-                pool = WorkerPool(options.get("workers"))
-                owns_pool = True
-        elif candidate == "blocked-shm":
-            from repro.parallel import shm as shm_mod
-
-            # An unlinked/purged segment surfaces here as a structural
-            # REPRO_SHM_SEGMENT fault, degrading to the bit-identical
-            # process-local "blocked" candidate.
-            faults.fire("shm.segment", f"workspace[n={n},k={k}]")
-            workspace = shm_mod.ShmWorkspace.create(
-                inputs={"x": x, "y": y, "grid": grid}
-            )
-            # The initializer (and its manifest) is stored on the pool, so
-            # a rebuild() after a worker death re-attaches the same
-            # segments in the fresh workers.
-            pool = WorkerPool(
-                options.get("workers"),
-                initializer=shm_mod.attach_workspace,
-                initargs=(workspace.manifest(),),
-            )
-            owns_pool = True
+        executor.open()
         try:
-            try:
-                results = self._sweep_blocks(
-                    candidate, x, y, grid, kern, options, blocks, dtype, ckpt,
-                    pool,
-                )
-            except BaseException:
-                ckpt.flush()  # persist whatever completed before the failure
-                if owns_pool and pool is not None:
-                    pool.terminate()
-                raise
-            if owns_pool and pool is not None:
-                pool.close()
-        finally:
-            if workspace is not None:
-                workspace.close()
+            self._sweep_blocks(candidate, executor, blocks, ckpt)
+        except BaseException:
+            ckpt.flush()  # persist whatever completed before the failure
+            executor.close(abort=True)
+            raise
+        executor.close()
         ckpt.flush()
-        total = np.zeros(k, dtype=np.float64)
-        for start in sorted(results):
-            total += results[start]
+        total = ckpt.sums()
         if not self.config.keep_checkpoint:
             ckpt.discard()
         return total / n
@@ -429,28 +341,17 @@ class ResilientEngine:
     def _sweep_blocks(
         self,
         candidate: str,
-        x: np.ndarray,
-        y: np.ndarray,
-        grid: np.ndarray,
-        kern: Kernel,
-        options: dict[str, Any],
+        executor: BlockExecutor,
         blocks: list[tuple[int, int]],
-        dtype: str,
         ckpt: SweepCheckpoint,
-        pool: WorkerPool | None,
-    ) -> dict[int, np.ndarray]:
+    ) -> None:
         """Wave-based block loop: submit pending, collect, retry failures."""
         policy = self.config.policy
         tracer = current_tracer()
-        results: dict[int, np.ndarray] = {}
-        pending: list[tuple[int, int]] = []
-        for start, stop in blocks:
-            if ckpt.has_block(start):
-                results[start] = ckpt.get_block(start)
-                self.report.blocks_resumed += 1
-            else:
-                pending.append((start, stop))
-        if self.report.blocks_resumed:
+        pending = [(a, b) for a, b in blocks if not ckpt.has_block(a)]
+        resumed = len(blocks) - len(pending)
+        if resumed:
+            self.report.blocks_resumed += resumed
             tracer.counter(
                 "resilience.blocks_resumed", float(self.report.blocks_resumed)
             )
@@ -462,10 +363,7 @@ class ResilientEngine:
                 "wave", index=wave_no, backend=candidate, blocks=len(pending)
             ):
                 wave = [
-                    (start, stop, self._submit_block(
-                        candidate, x, y, grid, kern, options, start, stop,
-                        dtype, pool,
-                    ))
+                    (start, stop, executor.submit(start, stop))
                     for start, stop in pending
                 ]
                 failed: list[tuple[int, int]] = []
@@ -473,9 +371,10 @@ class ResilientEngine:
                 for start, stop, collect in wave:
                     label = f"{candidate}:rows[{start}:{stop})"
                     try:
-                        sums = collect()
-                        sums = faults.corrupt("data.block", sums, label)
-                        if not np.all(np.isfinite(sums)):
+                        with tracer.span("block-collect", start=start, stop=stop):
+                            rows = collect(policy.block_timeout)
+                        rows = faults.corrupt("data.block", rows, label)
+                        if not np.all(np.isfinite(rows)):
                             raise DataCorruptionError(
                                 f"non-finite partial sums in {label}"
                             )
@@ -493,13 +392,11 @@ class ResilientEngine:
                         needs_rebuild |= error_code(exc) in _POOL_FATAL_CODES
                         failed.append((start, stop))
                     else:
-                        results[start] = sums
-                        ckpt.record_block(start, sums)
+                        ckpt.record_block(start, rows)
                 if failed:
                     self.report.retries += len(failed)
                     tracer.counter("resilience.retries", float(len(failed)))
-                    if needs_rebuild and pool is not None:
-                        pool.rebuild()
+                    if needs_rebuild and executor.rebuild():
                         self.report.pool_rebuilds += 1
                         tracer.counter("resilience.pool_rebuilds")
                     round_no = max(attempts[start] for start, _ in failed)
@@ -508,131 +405,6 @@ class ResilientEngine:
                         self._sleep(pause)
                 pending = failed
             wave_no += 1
-        return results
-
-    def _submit_block(
-        self,
-        candidate: str,
-        x: np.ndarray,
-        y: np.ndarray,
-        grid: np.ndarray,
-        kern: Kernel,
-        options: dict[str, Any],
-        start: int,
-        stop: int,
-        dtype: str,
-        pool: WorkerPool | None,
-    ) -> Callable[[], np.ndarray]:
-        """Start one block computation; returns its collector thunk.
-
-        Pool submissions happen eagerly (so a wave actually runs in
-        parallel); serial backends compute inside the collector.
-        """
-        from repro.core.fastgrid import fastgrid_block_sums
-
-        if candidate == "multicore":
-            assert pool is not None
-            block_args = (x, y, grid, kern.name, start, stop, dtype)
-            return self._pool_collector(
-                pool, fastgrid_block_sums, block_args, start, stop
-            )
-
-        if candidate == "blocked-shm":
-            from repro.core.blockwise import shm_block_sums
-
-            assert pool is not None
-            # Parent-drawn worker-death directive for the shm pool: the
-            # injected crash/timeout is raised inside the child, so retry
-            # and pool-rebuild behave exactly as for a real dead worker.
-            kind = faults.draw("shm.worker", f"rows[{start}:{stop})")
-            block_args = (kern.name, start, stop, dtype)
-            return self._pool_collector(
-                pool, shm_block_sums, block_args, start, stop, fault_kind=kind
-            )
-
-        if candidate == "gpusim-tiled":
-            return lambda: self._tiled_block(
-                x, y, grid, kern, options, start, stop
-            )
-
-        return lambda: np.asarray(
-            fastgrid_block_sums(x, y, grid, kern.name, start, stop, dtype),
-            dtype=np.float64,
-        )
-
-    def _pool_collector(
-        self,
-        pool: WorkerPool,
-        func: Callable[..., Any],
-        block_args: tuple,
-        start: int,
-        stop: int,
-        *,
-        fault_kind: str | None = None,
-    ) -> Callable[[], np.ndarray]:
-        """Submit one block to a pool; return its deadline-ed collector."""
-        traced = current_tracer().enabled
-        unit: Callable[..., Any] = func
-        unit_args: tuple = block_args
-        if traced:
-            unit, unit_args = traced_work_unit, (func,) + block_args
-        if fault_kind is not None:
-            unit, unit_args = faults.faulty_call, (fault_kind, unit) + unit_args
-        future = pool.apply_async(unit, unit_args)
-        timeout = self.config.policy.block_timeout
-
-        def collect_pool() -> np.ndarray:
-            tracer = current_tracer()
-            with tracer.span("block-collect", start=start, stop=stop) as cspan:
-                try:
-                    value = future.get(timeout)
-                except multiprocessing.TimeoutError:
-                    raise BlockTimeoutError(
-                        f"rows[{start}:{stop}) missed its {timeout}s deadline"
-                    ) from None
-                if traced and tracer.enabled:
-                    value, spans, counters, maxima = value
-                    tracer.adopt(spans, parent_id=cspan.span_id)
-                    tracer.merge_counters(counters, maxima)
-            return np.asarray(value, dtype=np.float64)
-
-        return collect_pool
-
-    def _tiled_block(
-        self,
-        x: np.ndarray,
-        y: np.ndarray,
-        grid: np.ndarray,
-        kern: Kernel,
-        options: dict[str, Any],
-        start: int,
-        stop: int,
-    ) -> np.ndarray:
-        """One tile on the simulated device: reserve, compute, free.
-
-        Device residency is the tiled program's: two t×n float32 tile
-        buffers charged against capacity (so an injected or genuine
-        ``cudaMalloc`` failure surfaces here), with the arithmetic carried
-        out by the float32 block sums — the same summations the tiled
-        CUDA kernel performs.
-        """
-        from repro.core.fastgrid import fastgrid_block_sums
-        from repro.gpusim.device import get_device
-        from repro.gpusim.memory import GlobalMemory
-
-        device = get_device(options.get("device"))
-        gmem = GlobalMemory(device)
-        n = int(x.shape[0])
-        t = stop - start
-        try:
-            gmem.reserve((t, n), np.float32, label="absdiff-tile")
-            gmem.reserve((t, n), np.float32, label="y-tile")
-            sums = fastgrid_block_sums(
-                x, y, grid, kern.name, start, stop, "float32"
-            )
-        finally:
-            gmem.free_all()
-        return np.asarray(sums, dtype=np.float64)
 
     # -- plumbing ----------------------------------------------------------
 

@@ -10,7 +10,7 @@ faults but that it slept the same schedule both times.  The actual
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, TypeVar
 
 import numpy as np
@@ -98,15 +98,6 @@ class RetryPolicy:
         # Bit-compatible with the pre-consolidation SeedSequence([seed,
         # 0x5E7B]): recorded backoff schedules replay unchanged.
         return derive_rng(self.seed, 0x5E7B)
-
-
-@dataclass
-class _RetryState:
-    """Mutable bookkeeping shared by one :func:`run_with_retry` call."""
-
-    attempts: int = 0
-    retries: int = 0
-    slept: list[float] = field(default_factory=list)
 
 
 def run_with_retry(

@@ -5,7 +5,8 @@ the bits themselves.  Each digest is the SHA-256 of a float64 ``numpy``
 CV curve on one small fixed sample, for every fast-grid kernel and for
 three variants of X: plain, offset by 1e6, and rounded to 0.01 (ties).
 A refactor of the window-sum primitive that moves a single bit fails
-here, and so does one that re-keys the on-disk serving cache.
+here, and so does one that re-keys the on-disk serving cache.  The
+resilient engine's curves for the host backends carry the same digests.
 """
 
 from __future__ import annotations
@@ -15,10 +16,16 @@ import hashlib
 import numpy as np
 import pytest
 
+from repro import select_bandwidth
 from repro.core.backends import get_backend
 from repro.distributed import InProcessFleet, WorkerApp
 from repro.kernels import fast_grid_kernels
-from repro.serving.cache import curve_fingerprint, selection_fingerprint
+from repro.resilience.engine import ResilienceConfig, resilient_cv_scores
+from repro.serving.cache import (
+    ArtifactCache,
+    curve_fingerprint,
+    selection_fingerprint,
+)
 
 CURVE_SHA256 = {
     ("biweight", "plain"): "1f2e3decb1d5503e9875b0ecf3ba91f10c8281e62855ff267089207d25dd8b9b",
@@ -80,6 +87,11 @@ def test_numpy_curve_bits(kernel, variant):
     assert _digest(curve) == CURVE_SHA256[kernel, variant]
 
 
+#: Resilient cells: the engine runs the backend's own block executor in
+#: 5-row blocks and must return the plain curve, bit for bit.
+RESILIENT = ResilienceConfig(block_rows=5)
+
+
 @pytest.mark.parametrize(
     "backend, options",
     [
@@ -87,18 +99,52 @@ def test_numpy_curve_bits(kernel, variant):
         ("blocked", {"block_rows": 5}),
         ("blocked-shm", {"block_rows": 7, "workers": 2}),
         ("distributed", {"block_rows": 9}),
+        pytest.param("numpy", {"resilience": RESILIENT}, id="resilient-numpy"),
+        pytest.param("blocked", {"resilience": RESILIENT}, id="resilient-blocked"),
+        pytest.param(
+            "multicore",
+            {"workers": 2, "resilience": RESILIENT},
+            id="resilient-multicore",
+        ),
+        pytest.param(
+            "blocked-shm",
+            {"workers": 2, "resilience": RESILIENT},
+            id="resilient-blocked-shm",
+        ),
     ],
     ids=lambda v: v if isinstance(v, str) else "",
 )
 @pytest.mark.parametrize("variant", ["plain", "offset", "tied"])
 def test_scale_out_backends_carry_the_pinned_bits(backend, options, variant):
     x, y, grid = _sample()
+    options = dict(options)
+    config = options.pop("resilience", None)
     if backend == "distributed":
         options = dict(
             options, fleet=InProcessFleet([WorkerApp(worker_id="w0"), WorkerApp(worker_id="w1")])
         )
-    curve = get_backend(backend)(_variant(x, variant), y, grid, "epanechnikov", **options)
+    if config is not None:
+        curve, report = resilient_cv_scores(
+            _variant(x, variant), y, grid, "epanechnikov",
+            backend=backend, config=config, backend_options=options,
+        )
+        assert report.clean and report.blocks_total == 10
+    else:
+        curve = get_backend(backend)(_variant(x, variant), y, grid, "epanechnikov", **options)
     assert _digest(curve) == CURVE_SHA256["epanechnikov", variant]
+
+
+def test_resilient_selection_warms_the_plain_cache_with_plain_bits(tmp_path):
+    """The cache keys ignore ``resilience``, so a resilient cold sweep may
+    answer a later plain request: its curve must be the plain one."""
+    x, y, _ = _sample()
+    cache = ArtifactCache(tmp_path)
+    select_bandwidth(x, y, n_bandwidths=12, cache=cache, resilience=RESILIENT)
+    warm = select_bandwidth(x, y, n_bandwidths=12, cache=cache)
+    cold = select_bandwidth(x, y, n_bandwidths=12)
+    assert warm.diagnostics["cache"] == "hit"
+    np.testing.assert_array_equal(warm.scores, cold.scores)
+    assert warm.bandwidth == cold.bandwidth
 
 
 @pytest.mark.parametrize("backend", sorted(FINGERPRINTS))

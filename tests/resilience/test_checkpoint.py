@@ -7,6 +7,7 @@ import pytest
 
 from repro.exceptions import CheckpointError, ValidationError
 from repro.resilience.checkpoint import SweepCheckpoint, sweep_fingerprint
+from repro.utils.numeric import fold_rows
 
 
 def _inputs() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -42,29 +43,52 @@ class TestFingerprint:
         assert sweep_fingerprint(*mutate(x, y, grid)) != base
 
 
+def _rows(start: int, stop: int, k: int) -> np.ndarray:
+    """Deterministic, awkward float64 rows standing in for block rows."""
+    rng = np.random.default_rng(start)
+    return rng.normal(size=(stop - start, k)) * np.array([1.0, np.pi, 1e-17])[:k]
+
+
 class TestRoundtrip:
     def test_record_flush_load_exact(self, tmp_path) -> None:
         path = tmp_path / "sweep.ckpt.npz"
-        sums = {0: np.array([1.5, 2.5, np.pi]), 16: np.array([0.1, -3.0, 1e-17])}
+        # Blocks 0 and 32 complete, 16 is the gap: 0 is folded into the
+        # prefix, 32's rows are kept until the gap closes.
+        rows = {s: _rows(s, min(s + 16, 40), 3) for s in (0, 16, 32)}
         ckpt = SweepCheckpoint.open(
             path, fingerprint="fp", n=40, k=3, block_rows=16
         )
-        for start, vec in sums.items():
-            ckpt.record_block(start, vec)
+        for start in (0, 32):
+            ckpt.record_block(start, rows[start])
 
         again = SweepCheckpoint.open(
             path, fingerprint="fp", n=40, k=3, block_rows=16
         )
-        assert again.completed_starts == [0, 16]
-        assert again.resumed_starts == frozenset({0, 16})
-        for start, vec in sums.items():
-            np.testing.assert_array_equal(again.get_block(start), vec)
+        assert again.completed_starts == [0, 32]
+        assert again.resumed_starts == frozenset({0, 32})
+        for reopened in (ckpt, again):
+            reopened.record_block(16, rows[16])
+        expected = fold_rows(np.concatenate([rows[0], rows[16], rows[32]]))
+        np.testing.assert_array_equal(again.sums(), expected)
+        np.testing.assert_array_equal(again.sums(), ckpt.sums())
+
+    def test_fault_free_file_holds_only_the_prefix(self, tmp_path) -> None:
+        path = tmp_path / "sweep.ckpt.npz"
+        ckpt = SweepCheckpoint.open(
+            path, fingerprint="fp", n=40, k=3, block_rows=16
+        )
+        for start in (0, 16, 32):
+            ckpt.record_block(start, _rows(start, min(start + 16, 40), 3))
+        with np.load(path) as payload:
+            assert payload["rows"].shape == (0, 3)
+            assert payload["prefix"].shape == (3,)
+            assert int(payload["frontier"]) == 40
 
     def test_in_memory_checkpoint(self) -> None:
         ckpt = SweepCheckpoint.open(
             None, fingerprint="fp", n=10, k=2, block_rows=5
         )
-        ckpt.record_block(0, np.array([1.0, 2.0]))
+        ckpt.record_block(0, np.array([[1.0, 2.0]]))
         ckpt.flush()  # no-op, must not fail
         assert ckpt.has_block(0)
         assert ckpt.path is None
@@ -74,10 +98,10 @@ class TestRoundtrip:
         ckpt = SweepCheckpoint.open(
             path, fingerprint="fp", n=40, k=1, block_rows=16, flush_every=3
         )
-        ckpt.record_block(0, np.array([1.0]))
-        ckpt.record_block(16, np.array([2.0]))
+        ckpt.record_block(0, np.array([[1.0]]))
+        ckpt.record_block(16, np.array([[2.0]]))
         assert not path.exists(), "should not flush before the batch fills"
-        ckpt.record_block(32, np.array([3.0]))
+        ckpt.record_block(32, np.array([[3.0]]))
         assert path.exists()
 
     def test_bad_shape_rejected(self) -> None:
@@ -85,14 +109,17 @@ class TestRoundtrip:
             None, fingerprint="fp", n=10, k=3, block_rows=5
         )
         with pytest.raises(ValidationError, match="shape"):
-            ckpt.record_block(0, np.zeros(4))
+            ckpt.record_block(0, np.zeros((5, 4)))
+        with pytest.raises(ValidationError, match="shape"):
+            ckpt.record_block(0, np.zeros(3))
 
     def test_missing_block_raises(self) -> None:
         ckpt = SweepCheckpoint.open(
             None, fingerprint="fp", n=10, k=3, block_rows=5
         )
+        ckpt.record_block(0, np.zeros((5, 3)))
         with pytest.raises(CheckpointError, match="not checkpointed"):
-            ckpt.get_block(5)
+            ckpt.sums()
 
 
 class TestMismatch:
@@ -100,7 +127,7 @@ class TestMismatch:
         ckpt = SweepCheckpoint.open(
             path, fingerprint="old-sweep", n=40, k=2, block_rows=16
         )
-        ckpt.record_block(0, np.array([1.0, 2.0]))
+        ckpt.record_block(0, np.array([[1.0, 2.0]]))
 
     def test_mismatch_raises_by_default(self, tmp_path) -> None:
         path = tmp_path / "sweep.ckpt.npz"
@@ -124,7 +151,7 @@ class TestMismatch:
         assert ckpt.completed_starts == []
         assert ckpt.resumed_starts == frozenset()
         # the stale file is replaced on the next flush
-        ckpt.record_block(16, np.array([9.0, 9.0]))
+        ckpt.record_block(16, np.array([[9.0, 9.0]]))
         reread = SweepCheckpoint.open(
             path, fingerprint="new-sweep", n=40, k=2, block_rows=16
         )
@@ -134,6 +161,23 @@ class TestMismatch:
         path = tmp_path / "sweep.ckpt.npz"
         path.write_bytes(b"not an npz archive")
         with pytest.raises(CheckpointError, match="unreadable"):
+            SweepCheckpoint.open(
+                path, fingerprint="fp", n=40, k=2, block_rows=16
+            )
+
+    def test_version_1_file_is_refused(self, tmp_path) -> None:
+        # The version-1 layout: one k-vector of block sums per block.
+        path = tmp_path / "sweep.ckpt.npz"
+        np.savez(
+            path,
+            fingerprint=np.array("fp"),
+            starts=np.array([0], dtype=np.int64),
+            sums=np.array([[1.0, 2.0]]),
+            n=np.int64(40),
+            k=np.int64(2),
+            block_rows=np.int64(16),
+        )
+        with pytest.raises(CheckpointError, match="format version 1"):
             SweepCheckpoint.open(
                 path, fingerprint="fp", n=40, k=2, block_rows=16
             )
@@ -156,7 +200,7 @@ class TestDiscard:
         ckpt = SweepCheckpoint.open(
             path, fingerprint="fp", n=40, k=1, block_rows=16
         )
-        ckpt.record_block(0, np.array([4.0]))
+        ckpt.record_block(0, np.array([[4.0]]))
         assert path.exists()
         ckpt.discard()
         assert not path.exists()

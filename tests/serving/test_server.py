@@ -139,6 +139,25 @@ class TestSelectCachePath:
         assert snap["select_cache_misses_total"] == 1
         assert snap["select_cache_hits_total"] == 1
 
+    def test_select_replies_carry_no_trace_ring(self):
+        """The server's trace ring stays on the server: no reply embeds a
+        snapshot of it, so a later reply does not grow with the ring."""
+        x, y = sample()
+        body = {"x": x, "y": y, "n_bandwidths": 10}
+
+        async def main():
+            app = await started(make_app())
+            first = await app.handle("POST", "/select", dict(body))
+            second = await app.handle("POST", "/select", dict(body))
+            await app.shutdown()
+            return first, second
+
+        (s1, first), (s2, second) = asyncio.run(main())
+        assert s1 == s2 == 200
+        for reply in (first, second):
+            assert "trace" not in reply["result"]["diagnostics"]
+        assert len(json.dumps(second)) <= len(json.dumps(first))
+
     def test_different_data_is_a_miss(self):
         x, y = sample(seed=3)
         x2, y2 = sample(seed=4)
